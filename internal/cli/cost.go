@@ -161,7 +161,7 @@ func cmdCost(args []string, stdout io.Writer) (err error) {
 	}
 	var mem runtime.MemStats
 	runtime.ReadMemStats(&mem)
-	fmt.Fprintf(stdout, "wall: %.2fs for %d policy-replays / %d invocations (%.0f invocations/s), peak heap %.1f MB\n",
+	fmt.Fprintf(stdout, "wall: %.2fs for %d policy-replays / %d invocations (%.0f invocations/s), heap sys %.1f MB\n",
 		wall.Seconds(), len(res.Points), invocations,
 		float64(invocations)/wall.Seconds(), float64(mem.HeapSys)/(1<<20))
 
@@ -173,7 +173,7 @@ func cmdCost(args []string, stdout io.Writer) (err error) {
 			Invocations    uint64  `json:"invocations"`
 			WallSeconds    float64 `json:"wall_seconds"`
 			InvocsPerSec   float64 `json:"invocations_per_sec"`
-			PeakHeapBytes  uint64  `json:"peak_heap_bytes"`
+			HeapSysBytes   uint64  `json:"heap_sys_bytes"`
 			HeapAllocBytes uint64  `json:"heap_alloc_bytes"`
 		}{
 			Tenants:        res.Tenants,
@@ -181,7 +181,7 @@ func cmdCost(args []string, stdout io.Writer) (err error) {
 			Invocations:    invocations,
 			WallSeconds:    wall.Seconds(),
 			InvocsPerSec:   float64(invocations) / wall.Seconds(),
-			PeakHeapBytes:  mem.HeapSys,
+			HeapSysBytes:   mem.HeapSys,
 			HeapAllocBytes: mem.HeapAlloc,
 		}
 		if len(res.Points) > 0 {

@@ -99,7 +99,7 @@ func cmdTenants(args []string, stdout io.Writer) (err error) {
 	}
 	var mem runtime.MemStats
 	runtime.ReadMemStats(&mem)
-	fmt.Fprintf(stdout, "wall: %.2fs for %d tenant-replays / %d invocations (%.0f tenants/s, %.0f invocations/s), peak heap %.1f MB\n",
+	fmt.Fprintf(stdout, "wall: %.2fs for %d tenant-replays / %d invocations (%.0f tenants/s, %.0f invocations/s), heap sys %.1f MB\n",
 		wall.Seconds(), res.Tenants*len(res.Points), invocations,
 		float64(res.Tenants*len(res.Points))/wall.Seconds(),
 		float64(invocations)/wall.Seconds(),
@@ -113,7 +113,7 @@ func cmdTenants(args []string, stdout io.Writer) (err error) {
 			WallSeconds    float64 `json:"wall_seconds"`
 			TenantsPerSec  float64 `json:"tenants_per_sec"`
 			InvocsPerSec   float64 `json:"invocations_per_sec"`
-			PeakHeapBytes  uint64  `json:"peak_heap_bytes"`
+			HeapSysBytes   uint64  `json:"heap_sys_bytes"`
 			HeapAllocBytes uint64  `json:"heap_alloc_bytes"`
 		}{
 			Tenants:        res.Tenants,
@@ -122,7 +122,7 @@ func cmdTenants(args []string, stdout io.Writer) (err error) {
 			WallSeconds:    wall.Seconds(),
 			TenantsPerSec:  float64(res.Tenants*len(res.Points)) / wall.Seconds(),
 			InvocsPerSec:   float64(invocations) / wall.Seconds(),
-			PeakHeapBytes:  mem.HeapSys,
+			HeapSysBytes:   mem.HeapSys,
 			HeapAllocBytes: mem.HeapAlloc,
 		}
 		if err := writeTo(*benchJSON, stdout, func(w io.Writer) error {

@@ -143,7 +143,7 @@ func cmdWorkflow(args []string, stdout io.Writer) (err error) {
 			WallSeconds    float64 `json:"wall_seconds"`
 			WorkflowsPerS  float64 `json:"workflows_per_sec"`
 			InvocsPerSec   float64 `json:"invocations_per_sec"`
-			PeakHeapBytes  uint64  `json:"peak_heap_bytes"`
+			HeapSysBytes   uint64  `json:"heap_sys_bytes"`
 			HeapAllocBytes uint64  `json:"heap_alloc_bytes"`
 		}{
 			Topology:       res.Topology,
@@ -154,7 +154,7 @@ func cmdWorkflow(args []string, stdout io.Writer) (err error) {
 			WallSeconds:    wall.Seconds(),
 			WorkflowsPerS:  float64(res.Workflows) / wall.Seconds(),
 			InvocsPerSec:   float64(invocations) / wall.Seconds(),
-			PeakHeapBytes:  mem.HeapSys,
+			HeapSysBytes:   mem.HeapSys,
 			HeapAllocBytes: mem.HeapAlloc,
 		}
 		if err := writeTo(*benchJSON, stdout, func(w io.Writer) error {

@@ -1,25 +1,28 @@
 // Package des implements a deterministic discrete-event simulation engine.
 //
-// The engine advances a virtual clock over an indexed 4-ary min-heap of
-// scheduled events stored by value and keyed by (at, seq): events at equal
-// times are tie-broken by scheduling sequence number, so every run with the
-// same inputs produces the same event ordering. Concurrent activities are
-// modeled as cooperative processes: each process is a goroutine, but a
-// single control token guarantees that at most one process (or event
-// callback) runs at any instant, so state shared between processes needs no
-// locking.
+// The engine advances a virtual clock over an exact event queue keyed by
+// (at, seq): events at equal times are tie-broken by scheduling sequence
+// number, so every run with the same inputs produces the same event
+// ordering. Concurrent activities are modeled as cooperative processes:
+// each process is a goroutine, but a single control token guarantees that
+// at most one process (or event callback) runs at any instant, so state
+// shared between processes needs no locking.
 //
 // The scheduling core is built for throughput and is allocation-free in
 // steady state:
 //
-//   - Events are values in a reusable heap array — no per-event heap
-//     allocation. Process-resume events carry the *Proc directly instead of
-//     a closure, so Sleep/Wait/Acquire wake-ups allocate nothing.
+//   - The queue (queue.go) is a one-event front cache over two
+//     pointer-free 4-ary heaps of 16-byte (at, key) entries, near-future
+//     and far-future, in reusable arrays. Callbacks and process pointers
+//     wait in a free-listed side slab, so no event allocates and sifts
+//     move plain integers. Process-resume events carry the *Proc directly
+//     instead of a closure, so Sleep/Wait/Acquire wake-ups allocate
+//     nothing.
 //   - Cancelable timers (At/After) draw a generation-counted handle from a
-//     free list. The handle tracks the event's heap index, so Cancel removes
-//     the event from the heap immediately (sift at its index) instead of
-//     leaving a tombstone to be popped later; a Timer from a previous
-//     generation can never cancel a reused handle.
+//     free list. The handle holds the callback and tracks the event's heap
+//     index, so Cancel removes the event immediately (sift at its index)
+//     instead of leaving a tombstone to be popped later; a Timer from a
+//     previous generation can never cancel a reused handle.
 //   - The control token travels with the goroutines themselves: a parking
 //     process drives the dispatch loop inline, so a process that pops its
 //     own resume event (the ubiquitous Sleep path) switches with zero
@@ -52,28 +55,16 @@ import (
 // formatting.
 type Time = time.Duration
 
-// event is a scheduled occurrence, stored by value in the heap array.
-// Exactly one of fn and proc is set: fn events invoke a callback, proc
-// events transfer control to a parked process.
-type event struct {
-	at   Time
-	seq  uint64
-	fn   func()
-	proc *Proc
-	// hid is the timer-handle slot tracking this event's heap index, or -1
-	// for events that can never be canceled (process resumes, injected work).
-	hid int32
-}
-
 // timerHandle is one slot of the engine's cancelable-timer table. Slots are
 // recycled through a free list; gen increments on every fire/cancel so stale
 // Timer copies referring to a recycled slot are inert. Heap timers and
 // slack-wheel timers (wheel.go) share this table, so a Timer value is the
-// same opaque handle either way: wheel marks which structure idx indexes.
+// same opaque handle either way: loc marks which structure idx indexes.
 type timerHandle struct {
-	gen   uint32
-	idx   int32 // heap index or wheel node index of the live event, -1 when fired/canceled
-	wheel bool  // idx indexes the timer wheel's node array, not the heap
+	fn  func() // callback of a heap timer; wheel timers keep theirs in the wheel node
+	gen uint32
+	idx int32 // heap index or wheel node index of the live event, -1 when fired/canceled
+	loc uint8 // tierNear, tierFar, or locWheel: the structure idx indexes
 }
 
 // Timer is a handle to a scheduled callback that can be canceled. The zero
@@ -96,15 +87,12 @@ func (t Timer) Cancel() bool {
 	if h.gen != t.gen || h.idx < 0 {
 		return false
 	}
-	if h.wheel {
+	if h.loc == locWheel {
 		e.wheel.unlink(h.idx)
-		h.wheel = false
 	} else {
-		e.removeAt(int(h.idx))
+		e.removeAt(h.loc, int(h.idx))
 	}
-	h.idx = -1
-	h.gen++
-	e.freeHandles = append(e.freeHandles, t.id)
+	e.releaseHandle(t.id)
 	return true
 }
 
@@ -120,10 +108,15 @@ func (t Timer) Pending() bool {
 // Engine is a discrete-event simulation engine. The zero value is not usable;
 // call NewEngine.
 type Engine struct {
-	now    Time
-	events []event // 4-ary min-heap by (at, seq), indexed via handles
-	seq    uint64
-	until  Time // horizon of the active Run, 0 = unbounded
+	now   Time
+	seq   uint64
+	until Time // horizon of the active Run, 0 = unbounded
+
+	// tiers are the near and far event heaps (queue.go); slots is the side
+	// slab holding the payloads of their uncancelable entries.
+	tiers     [2][]qentry
+	slots     []slot
+	freeSlots []int32
 
 	handles     []timerHandle
 	freeHandles []int32
@@ -133,7 +126,7 @@ type Engine struct {
 	wheel *wheel
 
 	// next is a one-event front cache: when a virtual-time event schedules
-	// its successor and that successor precedes everything in the heap, it
+	// its successor and that successor precedes everything in the heaps, it
 	// parks here and the dispatch loop takes it back without any heap
 	// traffic. Straight-line event chains — a callback-form warm invocation,
 	// a process sleeping through consecutive pipeline stages — are exactly
@@ -141,7 +134,7 @@ type Engine struct {
 	// chain hop. Invariant: when hasNext is set, next precedes every heap
 	// event in (at, seq) order. Only uncancelable events are cached (timer
 	// handles track heap indices); real-time mode bypasses the cache
-	// because its run loop peeks the heap root for wall pacing.
+	// because its run loop peeks the heap roots for wall pacing.
 	next    event
 	hasNext bool
 
@@ -190,186 +183,14 @@ func NewRealTimeEngine(timeScale float64) *Engine {
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// --- 4-ary indexed heap -----------------------------------------------------
-//
-// The heap stores events by value; children of slot i live at 4i+1..4i+4.
-// A 4-ary layout halves tree depth versus binary, trading slightly wider
-// sibling scans (cache-friendly: four 40-byte events span two or three cache
-// lines) for fewer swap levels. Every move of an event with a handle updates
-// the handle's idx, which is what makes O(log n) removal at Cancel possible.
-
-// less orders events by (at, seq).
-func (e *Engine) less(i, j int) bool {
-	a, b := &e.events[i], &e.events[j]
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-// noteIdx records ev's current heap slot in its timer handle, if any.
-func (e *Engine) noteIdx(i int) {
-	if h := e.events[i].hid; h >= 0 {
-		e.handles[h].idx = int32(i)
-	}
-}
-
-// siftUp moves the event at slot i toward the root until ordered.
-func (e *Engine) siftUp(i int) {
-	ev := e.events[i]
-	for i > 0 {
-		parent := (i - 1) / 4
-		p := &e.events[parent]
-		if p.at < ev.at || (p.at == ev.at && p.seq < ev.seq) {
-			break
-		}
-		e.events[i] = *p
-		e.noteIdx(i)
-		i = parent
-	}
-	e.events[i] = ev
-	e.noteIdx(i)
-}
-
-// siftDown moves the event at slot i toward the leaves until ordered.
-func (e *Engine) siftDown(i int) {
-	n := len(e.events)
-	ev := e.events[i]
-	for {
-		first := 4*i + 1
-		if first >= n {
-			break
-		}
-		min := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if e.less(c, min) {
-				min = c
-			}
-		}
-		m := &e.events[min]
-		if ev.at < m.at || (ev.at == m.at && ev.seq < m.seq) {
-			break
-		}
-		e.events[i] = *m
-		e.noteIdx(i)
-		i = min
-	}
-	e.events[i] = ev
-	e.noteIdx(i)
-}
-
-// push appends an event and restores heap order.
-func (e *Engine) push(ev event) {
-	e.events = append(e.events, ev)
-	e.siftUp(len(e.events) - 1)
-}
-
-// pop removes and returns the minimum event. The vacated tail slot is
-// cleared so recycled array capacity does not retain closures or processes.
-func (e *Engine) pop() event {
-	ev := e.events[0]
-	n := len(e.events) - 1
-	if n > 0 {
-		e.events[0] = e.events[n]
-	}
-	e.events[n] = event{}
-	e.events = e.events[:n]
-	if n > 1 {
-		e.siftDown(0)
-	} else if n == 1 {
-		e.noteIdx(0)
-	}
-	if ev.hid >= 0 {
-		h := &e.handles[ev.hid]
-		h.idx = -1
-		h.gen++
-		e.freeHandles = append(e.freeHandles, ev.hid)
-	}
-	return ev
-}
-
-// removeAt deletes the event at heap slot i (timer cancellation), restoring
-// heap order with a sift from that index.
-func (e *Engine) removeAt(i int) {
-	n := len(e.events) - 1
-	moved := e.events[n]
-	e.events[n] = event{}
-	e.events = e.events[:n]
-	if i == n {
-		return
-	}
-	e.events[i] = moved
-	e.siftUp(i)
-	// seq is unique: if siftUp left the filler in place, order below i may
-	// still be violated, so sift down from the same slot.
-	if e.events[i].seq == moved.seq {
-		e.siftDown(i)
-	}
-}
-
 // --- scheduling -------------------------------------------------------------
-
-// eventBefore orders two events by (at, seq).
-func eventBefore(a, b *event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-// enqueue places a freshly sequenced event into the schedule: the front
-// cache when it precedes everything pending, the heap otherwise. Cancelable
-// timers always live in the heap (their handles track heap indices), which
-// may require evicting a cached event that no longer holds the minimum.
-func (e *Engine) enqueue(ev event) {
-	if e.realTime || ev.hid >= 0 {
-		if e.hasNext && eventBefore(&ev, &e.next) {
-			e.push(e.next)
-			e.next = event{}
-			e.hasNext = false
-		}
-		e.push(ev)
-		return
-	}
-	if !e.hasNext {
-		if len(e.events) == 0 || eventBefore(&ev, &e.events[0]) {
-			e.next, e.hasNext = ev, true
-		} else {
-			e.push(ev)
-		}
-		return
-	}
-	if eventBefore(&ev, &e.next) {
-		e.push(e.next)
-		e.next = ev
-	} else {
-		e.push(ev)
-	}
-}
-
-// popNext removes and returns the minimum pending event: the front cache
-// when occupied (the invariant makes it the minimum), else the heap root.
-func (e *Engine) popNext() event {
-	if e.hasNext {
-		ev := e.next
-		e.next = event{}
-		e.hasNext = false
-		return ev
-	}
-	return e.pop()
-}
 
 // schedule registers fn to run at time at (>= now).
 func (e *Engine) schedule(at Time, fn func()) {
 	if at < e.now {
 		at = e.now
 	}
-	e.seq++
-	e.enqueue(event{at: at, seq: e.seq, fn: fn, hid: -1})
+	e.enqueue(event{qentry: qentry{at: at, key: e.nextKey()}, fn: fn})
 }
 
 // scheduleProc registers a process resume at time at (>= now). This is the
@@ -378,28 +199,49 @@ func (e *Engine) scheduleProc(at Time, p *Proc) {
 	if at < e.now {
 		at = e.now
 	}
-	e.seq++
-	e.enqueue(event{at: at, seq: e.seq, proc: p, hid: -1})
+	e.enqueue(event{qentry: qentry{at: at, key: e.nextKey()}, proc: p})
 }
 
-// scheduleTimer registers a cancelable callback, drawing a handle slot from
-// the free list (growing the table only on first use at each depth).
+// newHandle draws a timer-handle slot from the free list, growing the table
+// only on first use at each depth.
+func (e *Engine) newHandle() int32 {
+	if n := len(e.freeHandles); n > 0 {
+		id := e.freeHandles[n-1]
+		e.freeHandles = e.freeHandles[:n-1]
+		return id
+	}
+	id := newRef(len(e.handles))
+	e.handles = append(e.handles, timerHandle{})
+	return id
+}
+
+// releaseHandle retires a fired or canceled timer's handle: the generation
+// bump makes every outstanding Timer copy inert before the slot is reused.
+func (e *Engine) releaseHandle(id int32) {
+	h := &e.handles[id]
+	h.fn = nil
+	h.idx = -1
+	h.gen++
+	e.freeHandles = append(e.freeHandles, id)
+}
+
+// scheduleTimer registers a cancelable callback. Timers always live in a
+// heap (their handles track heap indices), which may require evicting a
+// cached event that no longer holds the minimum.
 func (e *Engine) scheduleTimer(at Time, fn func()) Timer {
 	if at < e.now {
 		at = e.now
 	}
-	var id int32
-	if n := len(e.freeHandles); n > 0 {
-		id = e.freeHandles[n-1]
-		e.freeHandles = e.freeHandles[:n-1]
-	} else {
-		id = int32(len(e.handles))
-		e.handles = append(e.handles, timerHandle{})
+	id := e.newHandle()
+	q := qentry{at: at, key: e.nextKey() | timerBit | uint64(id)}
+	if e.hasNext && q.before(e.next.qentry) {
+		e.pushEvent(e.next)
+		e.next, e.hasNext = event{}, false
 	}
-	e.seq++
-	e.enqueue(event{at: at, seq: e.seq, fn: fn, hid: id})
-	// enqueue placed the timer in the heap and recorded its index via noteIdx.
-	return Timer{eng: e, id: id, gen: e.handles[id].gen}
+	h := &e.handles[id]
+	h.fn = fn
+	h.loc = e.push(q) // push records the heap index via noteIdx
+	return Timer{eng: e, id: id, gen: h.gen}
 }
 
 // At schedules fn to run at the given virtual time and returns a cancelable
@@ -436,17 +278,7 @@ func (e *Engine) CallAfter(d time.Duration, fn func()) { e.schedule(e.now+d, fn)
 // errKilled is the sentinel used to unwind killed processes.
 var errKilled = errors.New("des: process killed")
 
-// atHorizon reports whether dispatch must stop: no events remain, or the
-// next event lies beyond the active run's bound. The front cache, when
-// occupied, holds the minimum pending event, so it alone decides.
-func (e *Engine) atHorizon() bool {
-	if e.hasNext {
-		return e.until != 0 && e.next.at > e.until
-	}
-	return len(e.events) == 0 || (e.until != 0 && e.events[0].at > e.until)
-}
-
-// Run drains events until the heap is empty or the virtual clock would pass
+// Run drains events until none remain or the virtual clock would pass
 // until. A zero until means run until no events remain. Processes blocked on
 // resources or signals when Run returns remain parked; use Close to release
 // them.
@@ -457,8 +289,11 @@ func (e *Engine) atHorizon() bool {
 // exits.
 func (e *Engine) Run(until Time) {
 	e.until = until
-	for !e.atHorizon() {
-		ev := e.popNext()
+	for {
+		ev, ok := e.popDue()
+		if !ok {
+			break
+		}
 		if e.realTime {
 			e.waitWall(ev.at)
 			e.drainInjected()
@@ -477,50 +312,29 @@ func (e *Engine) Run(until Time) {
 	e.until = 0
 }
 
-// dispatchFrom drives the event loop from a parking process p until p's own
-// resume event surfaces (return true: p regains control with zero channel
-// operations) or the token leaves this goroutine (return false: p must wait
-// on its wake channel). Virtual-time mode only.
-func (e *Engine) dispatchFrom(p *Proc) bool {
+// dispatch drives the event loop from a process goroutine that is giving up
+// control: self is either parking (park) or has just exited and returned its
+// record to the pool (run). It fires callback events until a process resume
+// surfaces. If that resume is self's own, dispatch returns true and the
+// goroutine continues with zero channel operations: a parked process resumes
+// its function, and an exited record that a fired callback re-Spawned starts
+// its new assignment (sending to its own wake channel would deadlock).
+// Otherwise the token moves on — to the resumed process, or to the run loop
+// at the horizon — and dispatch returns false: the goroutine must wait on
+// its wake channel. Virtual-time mode only.
+func (e *Engine) dispatch(self *Proc) bool {
 	for {
-		if e.atHorizon() {
+		ev, ok := e.popDue()
+		if !ok {
 			e.mainWake <- struct{}{}
 			return false
 		}
-		ev := e.popNext()
 		e.now = ev.at
 		if ev.proc == nil {
 			ev.fn()
 			continue
 		}
-		if ev.proc == p {
-			return true
-		}
-		ev.proc.wake <- struct{}{}
-		return false
-	}
-}
-
-// dispatchOnExit hands the token onward when a process finishes: it keeps
-// firing callback events, transfers to the next resumed process, or returns
-// the token to Run at the horizon. A callback it fires may Spawn and reuse
-// the exiting record, and the loop could then pop that record's fresh
-// first-resume on its own goroutine. Sending to the own wake channel would
-// deadlock, so dispatchOnExit reports true instead and the goroutine starts
-// the new assignment directly.
-func (e *Engine) dispatchOnExit(exited *Proc) bool {
-	for {
-		if e.atHorizon() {
-			e.mainWake <- struct{}{}
-			return false
-		}
-		ev := e.popNext()
-		e.now = ev.at
-		if ev.proc == nil {
-			ev.fn()
-			continue
-		}
-		if ev.proc == exited {
+		if ev.proc == self {
 			return true
 		}
 		ev.proc.wake <- struct{}{}
@@ -544,7 +358,8 @@ func (e *Engine) RunRealTime(stop <-chan struct{}) {
 		}
 		e.syncVirtualClock()
 		e.drainInjected()
-		if len(e.events) == 0 {
+		t := e.minTier()
+		if t < 0 {
 			// Idle: wait for injection or stop.
 			select {
 			case <-stop:
@@ -553,16 +368,17 @@ func (e *Engine) RunRealTime(stop <-chan struct{}) {
 				continue
 			}
 		}
-		next := e.events[0]
+		next := e.tiers[t][0]
 		if !e.sleepUntil(next.at, stop) {
 			return
 		}
 		e.syncVirtualClock()
 		e.drainInjected()
-		if len(e.events) == 0 || e.events[0].seq != next.seq {
+		if t = e.minTier(); t < 0 || e.tiers[t][0] != next {
 			continue // an injection scheduled something earlier
 		}
-		ev := e.pop()
+		e.removeAt(uint8(t), 0)
+		ev := e.take(next)
 		if ev.at > e.now {
 			e.now = ev.at
 		}
@@ -679,7 +495,7 @@ func (e *Engine) drainInjected() {
 	e.injected = nil
 	e.injectMu.Unlock()
 	for _, fn := range pending {
-		// Schedule at the current instant; runs in heap order.
+		// Schedule at the current instant; runs in (at, seq) order.
 		e.schedule(e.now, fn)
 	}
 }
@@ -696,7 +512,9 @@ func (e *Engine) Close() {
 		p.wake <- struct{}{} // pooled runner sees nil fn and exits
 	}
 	e.pool = nil
-	e.events = nil
+	e.tiers = [2][]qentry{}
+	e.slots = nil
+	e.freeSlots = nil
 	e.next = event{}
 	e.hasNext = false
 	e.handles = nil
@@ -709,7 +527,7 @@ func (e *Engine) Close() {
 // timers are removed from the schedule immediately, so this count stays
 // bounded under timer churn (WaitTimeout cancel/fire cycles).
 func (e *Engine) PendingEvents() int {
-	n := len(e.events)
+	n := len(e.tiers[tierNear]) + len(e.tiers[tierFar])
 	if e.hasNext {
 		n++
 	}

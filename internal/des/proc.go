@@ -77,7 +77,7 @@ func (p *Proc) run() {
 		if e.realTime {
 			e.mainWake <- struct{}{}
 		} else {
-			reassigned = e.dispatchOnExit(p)
+			reassigned = e.dispatch(p)
 		}
 	}
 }
@@ -110,7 +110,7 @@ func (p *Proc) park() {
 	e := p.eng
 	if e.realTime {
 		e.mainWake <- struct{}{}
-	} else if e.dispatchFrom(p) {
+	} else if e.dispatch(p) {
 		if p.killed {
 			panic(errKilled)
 		}

@@ -8,8 +8,8 @@ import (
 // This file implements the engine's second timer facility: a hierarchical
 // timing wheel for timers that tolerate tick-granularity slack.
 //
-// The exact 4-ary heap (engine.go) charges O(log n) per insert and cancel,
-// with the constant dominated by pointer-chasing sifts once the heap holds
+// The exact 4-ary heaps (queue.go) charge O(log n) per insert and cancel,
+// with the constant dominated by cache-missing sifts once a heap holds
 // hundreds of thousands of events. Provider-scale multi-tenant replay is
 // exactly that regime: every idle instance of every tenant holds a live
 // keep-alive timer, and every warm invocation cancels one and re-arms it.
@@ -130,17 +130,10 @@ func (w *wheel) schedule(at Time, fn func()) Timer {
 		ni = int32(len(w.nodes))
 		w.nodes = append(w.nodes, wheelNode{})
 	}
-	var id int32
-	if n := len(e.freeHandles); n > 0 {
-		id = e.freeHandles[n-1]
-		e.freeHandles = e.freeHandles[:n-1]
-	} else {
-		id = int32(len(e.handles))
-		e.handles = append(e.handles, timerHandle{})
-	}
+	id := e.newHandle()
 	h := &e.handles[id]
 	h.idx = ni
-	h.wheel = true
+	h.loc = locWheel
 
 	nd := &w.nodes[ni]
 	nd.fn, nd.tick, nd.hid = fn, qt, id
@@ -254,11 +247,7 @@ func (w *wheel) fireSlot(t int64) {
 		nd := &w.nodes[ni]
 		fn, hid := nd.fn, nd.hid
 		w.unlink(ni)
-		h := &e.handles[hid]
-		h.idx = -1
-		h.wheel = false
-		h.gen++
-		e.freeHandles = append(e.freeHandles, hid)
+		e.releaseHandle(hid)
 		fn()
 	}
 }

@@ -1,9 +1,6 @@
 package dist
 
-import (
-	"hash/fnv"
-	"math/rand"
-)
+import "math/rand"
 
 // Streams derives independent deterministic random streams from a root seed.
 // Each named component of the simulation gets its own *rand.Rand so that
@@ -18,11 +15,33 @@ func NewStreams(seed int64) *Streams { return &Streams{seed: seed} }
 
 // Stream returns a deterministic RNG for the given component name. Calling
 // Stream twice with the same name yields identically seeded, independent
-// generators.
+// generators. The stream is seeded with the root seed XOR the FNV-1a hash
+// of the name, and draws exactly what math/rand's default source would.
 func (s *Streams) Stream(name string) *rand.Rand {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(name))
-	return rand.New(rand.NewSource(s.seed ^ int64(h.Sum64())))
+	return s.PrefixedStream("", name)
+}
+
+// PrefixedStream returns Stream(prefix + name) without building the
+// concatenated name: FNV-1a consumes bytes in order, so hashing the parts
+// in sequence equals hashing their concatenation.
+func (s *Streams) PrefixedStream(prefix, name string) *rand.Rand {
+	h := fnv1a(fnv1a(fnvOffset, prefix), name)
+	return rand.New(NewSource(s.seed ^ int64(h)))
+}
+
+// 64-bit FNV-1a parameters (hash/fnv).
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// fnv1a folds str into the running 64-bit FNV-1a hash h.
+func fnv1a(h uint64, str string) uint64 {
+	for i := 0; i < len(str); i++ {
+		h ^= uint64(str[i])
+		h *= fnvPrime
+	}
+	return h
 }
 
 // Seed returns the root seed.

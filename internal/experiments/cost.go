@@ -293,15 +293,15 @@ type CostAppPoint struct {
 // CostPolicyPoint is one control-plane policy's merged outcome across
 // shards, plus its pricing under every plan.
 type CostPolicyPoint struct {
-	Policy      string `json:"policy"`
-	Autoscaled  bool   `json:"autoscaled"`
-	Invocations uint64 `json:"invocations"`
-	ColdServed  uint64 `json:"cold_served"`
-	WarmServed  uint64 `json:"warm_served"`
-	Errors      uint64 `json:"errors"`
-	Expirations uint64 `json:"expirations"`
-	Suspends    uint64 `json:"suspends"`
-	Resumes     uint64 `json:"resumes"`
+	Policy      string  `json:"policy"`
+	Autoscaled  bool    `json:"autoscaled"`
+	Invocations uint64  `json:"invocations"`
+	ColdServed  uint64  `json:"cold_served"`
+	WarmServed  uint64  `json:"warm_served"`
+	Errors      uint64  `json:"errors"`
+	Expirations uint64  `json:"expirations"`
+	Suspends    uint64  `json:"suspends"`
+	Resumes     uint64  `json:"resumes"`
 	ColdRate    float64 `json:"cold_rate"`
 	// Usage is the fleet's metered resource consumption; pricing derives
 	// from it at read time, so every plan shares one replay.
@@ -529,8 +529,8 @@ func runCostShard(opts CostOptions, pop []tenantSpec, pol CostPolicy, shardIdx i
 		}
 		runs = append(runs, tr)
 
-		arrRNG := streams.Stream("tenants/arr/" + name)
-		execRNG := streams.Stream("tenants/exec/" + name)
+		arrRNG := streams.PrefixedStream("tenants/arr/", name)
+		execRNG := streams.PrefixedStream("tenants/exec/", name)
 		mean := float64(spec.meanIAT)
 		var arrive func()
 		arrive = func() {

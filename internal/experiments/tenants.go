@@ -339,8 +339,8 @@ func runTenantsShard(opts TenantsOptions, pop []tenantSpec, ka time.Duration, sh
 		}
 		runs = append(runs, tr)
 
-		arrRNG := streams.Stream("tenants/arr/" + name)
-		execRNG := streams.Stream("tenants/exec/" + name)
+		arrRNG := streams.PrefixedStream("tenants/arr/", name)
+		execRNG := streams.PrefixedStream("tenants/exec/", name)
 		mean := float64(spec.meanIAT)
 		// Open-loop Poisson arrivals as a self-rescheduling callback chain:
 		// the next arrival is independent of completions, and generation

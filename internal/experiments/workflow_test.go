@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -266,30 +264,9 @@ func TestGoldenWorkflowFingerprints(t *testing.T) {
 		preset := preset
 		t.Run(preset, func(t *testing.T) {
 			t.Parallel()
-			path := filepath.Join("testdata", "golden", "workflow-"+preset+".fingerprint")
-			fp := renderWorkflow(t, workflowGoldenOpts(preset, workflow.TransferBlobstore, cloud.EngineAuto, 1))
-			if *updateGolden {
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, []byte(fp), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				t.Logf("wrote %s", path)
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing fixture (run with -update-golden to regenerate): %v", err)
-			}
-			if fp != string(want) {
-				t.Errorf("%s: Workers=1 output diverged from the seed-engine fixture\n--- got ---\n%s--- want ---\n%s",
-					preset, fp, want)
-			}
-			if fp8 := renderWorkflow(t, workflowGoldenOpts(preset, workflow.TransferBlobstore, cloud.EngineAuto, 8)); fp8 != string(want) {
-				t.Errorf("%s: Workers=8 output diverged from the seed-engine fixture\n--- got ---\n%s--- want ---\n%s",
-					preset, fp8, want)
-			}
+			checkGolden(t, "workflow-"+preset, func(workers int) string {
+				return renderWorkflow(t, workflowGoldenOpts(preset, workflow.TransferBlobstore, cloud.EngineAuto, workers))
+			})
 		})
 	}
 }
