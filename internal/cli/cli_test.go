@@ -551,6 +551,15 @@ func TestScaleCommandExactRejectsSave(t *testing.T) {
 	}
 }
 
+// TestScaleCommandBadFlags: an out-of-range sketch accuracy is a flag
+// error (non-zero exit), not a panic inside a shard goroutine.
+func TestScaleCommandBadFlags(t *testing.T) {
+	code, _, errOut := run(t, "scale", "-n", "200", "-shards", "2", "-alpha", "5")
+	if code == 0 || !strings.Contains(errOut, "alpha") {
+		t.Fatalf("code=%d err=%q", code, errOut)
+	}
+}
+
 // TestCompareRejectsSketchOnlyRecords: sketch records load fine but cannot
 // feed bootstrap/rank comparisons — the CLI must say so instead of
 // panicking on an empty sample.

@@ -151,6 +151,12 @@ func TestCostCommandBadFlags(t *testing.T) {
 	if code, _, _ := run(t, "cost", "-plans", "freelunch"); code == 0 {
 		t.Fatal("unknown plan accepted")
 	}
+	for _, alpha := range []string{"5", "-0.5"} {
+		code, _, errOut := run(t, "cost", "-tenants", "4", "-duration", "10s", "-shards", "2", "-alpha", alpha)
+		if code == 0 || !strings.Contains(errOut, "alpha") {
+			t.Fatalf("-alpha %s: code=%d err=%q", alpha, code, errOut)
+		}
+	}
 	if code, _, _ := run(t, "cost", "-tenants", "4", "-duration", "10s",
 		"-save", "x.json", "-save-policy", "nope"); code == 0 {
 		t.Fatal("unknown save policy accepted")

@@ -102,26 +102,19 @@ func cmdFaults(args []string, stdout io.Writer) (err error) {
 		return err
 	}
 	experiments.WriteFaultsReport(stdout, res)
-	if *jsonPath != "" {
-		if err := writeTo(*jsonPath, stdout, func(w io.Writer) error {
-			return experiments.WriteFaultsJSON(w, res)
-		}); err != nil {
-			return err
-		}
+	if err := writeTo(*jsonPath, stdout, func(w io.Writer) error { return experiments.WriteJSON(w, res) }); err != nil {
+		return err
 	}
-	if *csvPath != "" {
-		if err := writeTo(*csvPath, stdout, func(w io.Writer) error {
-			return experiments.WriteFaultsCSV(w, res)
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
+	return writeTo(*csvPath, stdout, func(w io.Writer) error { return experiments.WriteFaultsCSV(w, res) })
 }
 
-// writeTo runs emit against a created file, or stdout when path is "-".
+// writeTo runs emit against a created file, or stdout when path is "-";
+// an empty path (the export was not asked for) writes nothing.
 func writeTo(path string, stdout io.Writer, emit func(io.Writer) error) error {
-	if path == "-" {
+	switch path {
+	case "":
+		return nil
+	case "-":
 		return emit(stdout)
 	}
 	f, err := os.Create(path)

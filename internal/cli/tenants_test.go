@@ -81,4 +81,11 @@ func TestTenantsCommandBadFlags(t *testing.T) {
 	if code, _, _ := run(t, "tenants", "-provider", "nope", "-tenants", "2", "-duration", "1m"); code == 0 {
 		t.Fatal("unknown provider accepted")
 	}
+	for _, alpha := range []string{"5", "-0.5"} {
+		code, _, errOut := run(t, "tenants", "-tenants", "4", "-duration", "10s", "-shards", "2",
+			"-keepalives", "1m", "-alpha", alpha)
+		if code == 0 || !strings.Contains(errOut, "alpha") {
+			t.Fatalf("-alpha %s: code=%d err=%q", alpha, code, errOut)
+		}
+	}
 }

@@ -1,7 +1,6 @@
 package cli
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -157,11 +156,7 @@ func cmdWorkflow(args []string, stdout io.Writer) (err error) {
 			HeapSysBytes:   mem.HeapSys,
 			HeapAllocBytes: mem.HeapAlloc,
 		}
-		if err := writeTo(*benchJSON, stdout, func(w io.Writer) error {
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			return enc.Encode(bench)
-		}); err != nil {
+		if err := writeTo(*benchJSON, stdout, func(w io.Writer) error { return experiments.WriteJSON(w, bench) }); err != nil {
 			return err
 		}
 	}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -9,13 +8,8 @@ import (
 	"strings"
 	"time"
 
-	"github.com/stellar-repro/stellar/internal/azuretrace"
 	"github.com/stellar-repro/stellar/internal/cloud"
-	"github.com/stellar-repro/stellar/internal/des"
-	"github.com/stellar-repro/stellar/internal/dist"
 	"github.com/stellar-repro/stellar/internal/econ"
-	"github.com/stellar-repro/stellar/internal/providers"
-	"github.com/stellar-repro/stellar/internal/runner"
 	"github.com/stellar-repro/stellar/internal/stats"
 	"github.com/stellar-repro/stellar/internal/stats/sketch"
 	"github.com/stellar-repro/stellar/internal/workflow"
@@ -141,9 +135,6 @@ type CostOptions struct {
 }
 
 func (o CostOptions) normalized() CostOptions {
-	if o.Shards <= 0 {
-		o.Shards = 8
-	}
 	if len(o.Policies) == 0 {
 		o.Policies = DefaultCostPolicies()
 	}
@@ -155,21 +146,6 @@ func (o CostOptions) normalized() CostOptions {
 			}
 			o.Plans = append(o.Plans, plan)
 		}
-	}
-	if o.MeanIATLo <= 0 {
-		o.MeanIATLo = time.Second
-	}
-	if o.MeanIATHi <= 0 {
-		o.MeanIATHi = time.Minute
-	}
-	if o.Alpha == 0 {
-		o.Alpha = 0.02
-	}
-	if o.MaxConcurrency == 0 {
-		o.MaxConcurrency = 16
-	}
-	if o.MaxConcurrency < 0 {
-		o.MaxConcurrency = 0
 	}
 	if o.ResumeDelay <= 0 {
 		o.ResumeDelay = 50 * time.Millisecond
@@ -188,16 +164,8 @@ func (o CostOptions) normalized() CostOptions {
 	return o
 }
 
+// validate checks the cost-only axes; population.validate checks the rest.
 func (o CostOptions) validate() error {
-	if o.Provider == "" {
-		return fmt.Errorf("cost: provider is required")
-	}
-	if o.Tenants <= 0 {
-		return fmt.Errorf("cost: need at least one tenant")
-	}
-	if o.Duration <= 0 {
-		return fmt.Errorf("cost: duration must be positive")
-	}
 	seen := make(map[string]bool, len(o.Policies))
 	for i := range o.Policies {
 		p := &o.Policies[i]
@@ -230,12 +198,6 @@ func (o CostOptions) validate() error {
 			return fmt.Errorf("cost: plan %q: %w", plan.Name, err)
 		}
 	}
-	if o.MeanIATLo > o.MeanIATHi {
-		return fmt.Errorf("cost: mean IAT bounds inverted (%v > %v)", o.MeanIATLo, o.MeanIATHi)
-	}
-	if o.SlackTick < 0 {
-		return fmt.Errorf("cost: negative slack tick")
-	}
 	if o.Workflow != "" {
 		if _, err := workflow.Preset(o.Workflow, workflow.PresetSpec{}); err != nil {
 			return fmt.Errorf("cost: %w", err)
@@ -245,18 +207,6 @@ func (o CostOptions) validate() error {
 		}
 	}
 	return nil
-}
-
-// tenantsView projects the cost options onto the tenant-population
-// synthesizer, so both experiments draw the identical population from the
-// same seed.
-func (o CostOptions) tenantsView() TenantsOptions {
-	return TenantsOptions{
-		Seed:      o.Seed,
-		Tenants:   o.Tenants,
-		MeanIATLo: o.MeanIATLo,
-		MeanIATHi: o.MeanIATHi,
-	}
 }
 
 // CostPlanPoint is one (policy, plan) cell of the sweep: the replay's usage
@@ -330,102 +280,35 @@ type CostResult struct {
 	Points   []CostPolicyPoint `json:"points"`
 }
 
-// costShard is one (policy, shard) simulation's raw outcome.
-type costShard struct {
-	inv, cold, warm, errs uint64
-	expirations           uint64
-	suspends, resumes     uint64
-	instSec               float64
-	usage                 econ.Usage
-	sk                    *sketch.Sketch
-	virtual               time.Duration
-
-	appLaunched, appCompleted, appFailed uint64
-	appUsage                             econ.Usage
-	appSk                                *sketch.Sketch
-}
-
 // RunCost executes the cost/latency sweep: every policy replays the same
 // synthesized tenant population (shard seeds ignore the policy index), the
 // metered usage is priced under every plan, and Pareto frontiers are marked
 // per plan on (cost-per-million-requests, p99).
 func RunCost(opts CostOptions) (*CostResult, error) {
-	opts = opts.normalized()
-	if err := opts.validate(); err != nil {
+	p := population{CostOptions: opts.normalized(), name: "cost"}.normalized()
+	if err := p.validate(); err != nil {
 		return nil, err
 	}
-	pop := synthesizeTenants(opts.tenantsView())
-
-	units := len(opts.Policies) * opts.Shards
-	shards, err := runner.Map(runner.Pool{Workers: opts.Workers, Seed: opts.Seed}, units,
-		func(sh runner.Shard) (*costShard, error) {
-			pol := opts.Policies[sh.Index/opts.Shards]
-			shardIdx := sh.Index % opts.Shards
-			return runCostShard(opts, pop, pol, shardIdx)
-		})
+	if err := p.CostOptions.validate(); err != nil {
+		return nil, err
+	}
+	points, _, err := p.replay()
 	if err != nil {
 		return nil, err
 	}
 
 	res := &CostResult{
-		Provider: opts.Provider,
-		Tenants:  opts.Tenants,
-		Duration: opts.Duration,
-		Shards:   opts.Shards,
-		Seed:     opts.Seed,
-		Workflow: opts.Workflow,
+		Provider: p.Provider,
+		Tenants:  p.Tenants,
+		Duration: p.Duration,
+		Shards:   p.Shards,
+		Seed:     p.Seed,
+		Workflow: p.Workflow,
+		Points:   points,
 	}
-	for pi, pol := range opts.Policies {
-		point := CostPolicyPoint{
-			Policy:     pol.Name,
-			Autoscaled: pol.Autoscaler != nil,
-			sketch:     sketch.New(opts.Alpha),
-		}
-		appSk := sketch.New(opts.Alpha)
-		var app CostAppPoint
-		for _, sh := range shards[pi*opts.Shards : (pi+1)*opts.Shards] {
-			point.Invocations += sh.inv
-			point.ColdServed += sh.cold
-			point.WarmServed += sh.warm
-			point.Errors += sh.errs
-			point.Expirations += sh.expirations
-			point.Suspends += sh.suspends
-			point.Resumes += sh.resumes
-			point.InstanceSeconds += sh.instSec
-			point.Usage.Add(sh.usage)
-			if sh.sk.Count() > 0 {
-				if err := point.sketch.Merge(sh.sk); err != nil {
-					return nil, fmt.Errorf("cost: merging shard sketch: %w", err)
-				}
-			}
-			if sh.virtual > point.VirtualTime {
-				point.VirtualTime = sh.virtual
-			}
-			app.Launched += sh.appLaunched
-			app.Completed += sh.appCompleted
-			app.Failed += sh.appFailed
-			app.Usage.Add(sh.appUsage)
-			if sh.appSk != nil && sh.appSk.Count() > 0 {
-				if err := appSk.Merge(sh.appSk); err != nil {
-					return nil, fmt.Errorf("cost: merging app sketch: %w", err)
-				}
-			}
-		}
-		if served := point.ColdServed + point.WarmServed; served > 0 {
-			point.ColdRate = float64(point.ColdServed) / float64(served)
-		}
-		if point.sketch.Count() > 0 {
-			point.Latency = point.sketch.Summarize()
-		}
-		if opts.Workflow != "" {
-			app.Topology = opts.Workflow
-			if appSk.Count() > 0 {
-				app.MakespanP50 = appSk.Quantile(0.50)
-				app.MakespanP99 = appSk.Quantile(0.99)
-			}
-			point.App = &app
-		}
-		for _, plan := range opts.Plans {
+	for i := range res.Points {
+		point := &res.Points[i]
+		for _, plan := range p.Plans {
 			cell := CostPlanPoint{
 				Plan: plan.Name,
 				Cost: plan.Price(point.Usage),
@@ -438,234 +321,19 @@ func RunCost(opts CostOptions) (*CostResult, error) {
 			}
 			point.Plans = append(point.Plans, cell)
 		}
-		res.Points = append(res.Points, point)
 	}
-	markCostPareto(res.Points, len(opts.Plans))
-	return res, nil
-}
-
-// markCostPareto flags, within each plan, the policies not dominated on
-// minimizing (CostPerMReq, P99).
-func markCostPareto(points []CostPolicyPoint, plans int) {
-	for pj := 0; pj < plans; pj++ {
-		for i := range points {
-			a := &points[i].Plans[pj]
-			dominated := false
-			for j := range points {
-				if j == i {
-					continue
-				}
-				b := &points[j].Plans[pj]
-				if b.CostPerMReq <= a.CostPerMReq && b.P99 <= a.P99 &&
-					(b.CostPerMReq < a.CostPerMReq || b.P99 < a.P99) {
-					dominated = true
-					break
-				}
-			}
-			a.Pareto = !dominated
-		}
-	}
-}
-
-// runCostShard replays this shard's slice of the population under one
-// control-plane policy. The shard seed ignores the policy index on purpose:
-// every policy sees identical arrivals and execution draws, isolating the
-// control plane as the only difference between frontier points.
-func runCostShard(opts CostOptions, pop []tenantSpec, pol CostPolicy, shardIdx int) (*costShard, error) {
-	cfg, err := providers.Get(opts.Provider)
-	if err != nil {
-		return nil, err
-	}
-	if pol.Autoscaler != nil {
-		as := *pol.Autoscaler
-		cfg.Autoscaler = &as
-		cfg.ResumeDelay = dist.Constant(opts.ResumeDelay)
-	} else {
-		cfg.KeepAlive = cloud.KeepAlivePolicy{Fixed: pol.KeepAlive}
-	}
-	cfg.KeepAliveSlack = opts.SlackTick
-
-	out := &costShard{sk: sketch.New(opts.Alpha)}
-	e, err := newEnvWithConfig(cfg, dist.ShardSeed(opts.Seed, shardIdx))
-	if err != nil {
-		return nil, fmt.Errorf("cost shard %d: %w", shardIdx, err)
-	}
-	defer e.close()
-	c := e.cloud
-	c.SetEngineMode(opts.Engine)
-	eng := e.eng
-
-	// Tenant arrival/execution randomness reuses the tenants experiment's
-	// stream names, so a cost shard replays byte-identical arrivals to a
-	// tenants shard at the same seed.
-	streams := dist.NewStreams(dist.ShardSeed(opts.Seed, shardIdx))
-	noopDone := func(*cloud.Response, error) {}
-	horizon := opts.Duration
-
-	type tenantRun struct {
-		name   string
-		sk     *sketch.Sketch
-		issued uint64
-	}
-	var runs []*tenantRun
-	for t := shardIdx; t < len(pop); t += opts.Shards {
-		spec := pop[t]
-		name := spec.rec.Function
-		if err := c.Deploy(cloud.FunctionSpec{
-			Name:         name,
-			Runtime:      cloud.RuntimePython,
-			Method:       cloud.DeployZIP,
-			MaxInstances: opts.MaxConcurrency,
-		}); err != nil {
-			return nil, fmt.Errorf("cost shard %d: %w", shardIdx, err)
-		}
-		execDist, err := azuretrace.Synthesize(spec.rec)
-		if err != nil {
-			return nil, fmt.Errorf("cost shard %d: %w", shardIdx, err)
-		}
-		tr := &tenantRun{name: name, sk: sketch.New(opts.Alpha)}
-		if err := c.SetFunctionRecorder(name, tr.sk); err != nil {
-			return nil, fmt.Errorf("cost shard %d: %w", shardIdx, err)
-		}
-		runs = append(runs, tr)
-
-		arrRNG := streams.PrefixedStream("tenants/arr/", name)
-		execRNG := streams.PrefixedStream("tenants/exec/", name)
-		mean := float64(spec.meanIAT)
-		var arrive func()
-		arrive = func() {
-			tr.issued++
-			c.InvokeAsync(&cloud.Request{Fn: name, ExecTime: execDist.Sample(execRNG)}, noopDone)
-			if next := time.Duration(arrRNG.ExpFloat64() * mean); eng.Now()+next < horizon {
-				eng.CallAfter(next, arrive)
-			}
-		}
-		if first := time.Duration(arrRNG.ExpFloat64() * mean); first < horizon {
-			eng.CallAfter(first, arrive)
-		}
-	}
-
-	// The optional workflow app shares the provider with the tenant
-	// population: its nodes are ordinary functions under the same control
-	// plane, so its bill reflects the policy's suspend/evict behavior.
-	var dag *workflow.DAG
-	var ex *workflow.Exec
-	if opts.Workflow != "" {
-		dag, err = workflow.Preset(opts.Workflow, workflow.PresetSpec{
-			Transfer:     workflow.TransferInline,
-			PayloadBytes: 4 << 10,
+	// Within each plan, mark the policies not dominated on minimizing
+	// (CostPerMReq, P99); a sketch p99 (at most 24h) is exact as float64.
+	for pj := range p.Plans {
+		front := markPareto(len(res.Points), func(i int) (float64, float64) {
+			cell := res.Points[i].Plans[pj]
+			return cell.CostPerMReq, float64(cell.P99)
 		})
-		if err != nil {
-			return nil, fmt.Errorf("cost shard %d: %w", shardIdx, err)
-		}
-		for _, node := range dag.Nodes {
-			if err := c.Deploy(cloud.FunctionSpec{
-				Name:     node.Name,
-				Runtime:  cloud.RuntimePython,
-				Method:   cloud.DeployZIP,
-				ExecTime: opts.AppExec,
-			}); err != nil {
-				return nil, fmt.Errorf("cost shard %d: %w", shardIdx, err)
-			}
-		}
-		ex, err = workflow.New(workflow.Config{Cloud: c, DAG: dag})
-		if err != nil {
-			return nil, fmt.Errorf("cost shard %d: %w", shardIdx, err)
-		}
-		out.appSk = sketch.New(opts.Alpha)
-		n := shardInvocations(opts.Apps, opts.Shards, shardIdx)
-		out.appLaunched = n
-		if n > 0 {
-			runOne := func(p *des.Proc) {
-				res, err := ex.Run(p)
-				if err != nil {
-					out.appFailed++
-					return
-				}
-				out.appCompleted++
-				out.appSk.Add(res.Makespan)
-			}
-			eng.Spawn("cost/app-arrivals", func(p *des.Proc) {
-				for i := uint64(0); i < n; i++ {
-					eng.Spawn("cost/app", runOne)
-					if i+1 < n {
-						p.Sleep(opts.AppIAT)
-					}
-				}
-			})
+		for i := range res.Points {
+			res.Points[i].Plans[pj].Pareto = front[i]
 		}
 	}
-
-	// Drain to quiescence: in-flight work completes, idle instances expire
-	// or suspend, and the autoscaler tick self-disarms.
-	eng.Run(0)
-	out.virtual = eng.Now()
-
-	var tenantSum econ.Usage
-	for _, tr := range runs {
-		tm, ok := c.FunctionMetrics(tr.name)
-		if !ok {
-			return nil, fmt.Errorf("cost shard %d: %s vanished", shardIdx, tr.name)
-		}
-		if tm.Invocations != tr.issued {
-			return nil, fmt.Errorf("cost shard %d: %s conservation violated: issued=%d admitted=%d",
-				shardIdx, tr.name, tr.issued, tm.Invocations)
-		}
-		out.inv += tm.Invocations
-		out.cold += tm.ColdServed
-		out.warm += tm.WarmServed
-		out.errs += tm.Errors
-		out.instSec += tm.InstanceSeconds
-		if tr.sk.Count() > 0 {
-			if err := out.sk.Merge(tr.sk); err != nil {
-				return nil, fmt.Errorf("cost shard %d: %w", shardIdx, err)
-			}
-		}
-		u, ok := c.FunctionUsage(tr.name)
-		if !ok {
-			return nil, fmt.Errorf("cost shard %d: %s has no usage", shardIdx, tr.name)
-		}
-		tenantSum.Add(u)
-	}
-	if dag != nil {
-		for _, node := range dag.Nodes {
-			u, ok := c.FunctionUsage(node.Name)
-			if !ok {
-				return nil, fmt.Errorf("cost shard %d: app node %s has no usage", shardIdx, node.Name)
-			}
-			out.appUsage.Add(u)
-		}
-		tenantSum.Add(out.appUsage)
-	}
-	out.usage = c.Usage()
-	// Billing conservation, live in the experiment: per-tenant usage must
-	// sum to the fleet meter (identical adds land in both), up to float
-	// association noise.
-	if err := usageConserved(tenantSum, out.usage); err != nil {
-		return nil, fmt.Errorf("cost shard %d: %w", shardIdx, err)
-	}
-	m := c.Metrics()
-	out.expirations = m.Expirations
-	out.suspends = m.Suspends
-	out.resumes = m.Resumes
-	return out, nil
-}
-
-// usageConserved checks that per-tenant usage sums to the fleet total.
-func usageConserved(sum, fleet econ.Usage) error {
-	if sum.Requests != fleet.Requests {
-		return fmt.Errorf("cost: request conservation violated: tenants=%d fleet=%d", sum.Requests, fleet.Requests)
-	}
-	close := func(a, b float64) bool {
-		diff := math.Abs(a - b)
-		return diff <= 1e-6*math.Max(math.Abs(a), math.Abs(b))+1e-12
-	}
-	if !close(sum.BusyGBms, fleet.BusyGBms) ||
-		!close(sum.IdleGBms, fleet.IdleGBms) ||
-		!close(sum.SuspendedGBms, fleet.SuspendedGBms) {
-		return fmt.Errorf("cost: usage conservation violated: tenants=%+v fleet=%+v", sum, fleet)
-	}
-	return nil
+	return res, nil
 }
 
 // WriteCostReport renders the sweep as a table: one row per (policy, plan)
@@ -705,13 +373,6 @@ func WriteCostReport(w io.Writer, res *CostResult) {
 			}
 		}
 	}
-}
-
-// WriteCostJSON writes the sweep as indented JSON.
-func WriteCostJSON(w io.Writer, res *CostResult) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(res)
 }
 
 // WriteCostCSV writes one row per (policy, plan) cell.

@@ -129,7 +129,7 @@ func TestCostDeterminism(t *testing.T) {
 		}
 		var buf bytes.Buffer
 		WriteCostReport(&buf, res)
-		if err := WriteCostJSON(&buf, res); err != nil {
+		if err := WriteJSON(&buf, res); err != nil {
 			t.Fatal(err)
 		}
 		if err := WriteCostCSV(&buf, res); err != nil {
@@ -235,10 +235,12 @@ func TestCostValidation(t *testing.T) {
 		"unnamed-plan":   func(o *CostOptions) { o.Plans = []econ.BillingConfig{{BusyGBmsRate: 1e-9}} },
 		"duplicate-plan": func(o *CostOptions) { o.Plans = []econ.BillingConfig{{Name: "x"}, {Name: "x"}} },
 		"bad-plan":       func(o *CostOptions) { o.Plans = []econ.BillingConfig{{Name: "x", BusyGBmsRate: -1}} },
-		"iat-inverted":  func(o *CostOptions) { o.MeanIATLo = time.Minute; o.MeanIATHi = time.Second },
-		"bad-workflow":  func(o *CostOptions) { o.Workflow = "nonsense-7" },
-		"sparse-apps":   func(o *CostOptions) { o.Workflow = "chain-2"; o.Apps = 2; o.Shards = 4 },
-		"neg-slacktick": func(o *CostOptions) { o.SlackTick = -1 },
+		"iat-inverted":   func(o *CostOptions) { o.MeanIATLo = time.Minute; o.MeanIATHi = time.Second },
+		"bad-workflow":   func(o *CostOptions) { o.Workflow = "nonsense-7" },
+		"sparse-apps":    func(o *CostOptions) { o.Workflow = "chain-2"; o.Apps = 2; o.Shards = 4 },
+		"neg-slacktick":  func(o *CostOptions) { o.SlackTick = -1 },
+		"alpha-high":     func(o *CostOptions) { o.Alpha = 5 },
+		"alpha-neg":      func(o *CostOptions) { o.Alpha = -0.5 },
 	} {
 		opts := base
 		opts.Policies = append([]CostPolicy(nil), base.Policies...)

@@ -163,7 +163,7 @@ func TestEngineFormsEquivalent(t *testing.T) {
 					t.Fatalf("faults engine=%v workers=%d: %v", engine, workers, err)
 				}
 				var b strings.Builder
-				if err := WriteFaultsJSON(&b, res); err != nil {
+				if err := WriteJSON(&b, res); err != nil {
 					t.Fatal(err)
 				}
 				got[i] = b.String()

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
@@ -9,10 +8,8 @@ import (
 
 	"github.com/stellar-repro/stellar/internal/cloud"
 	"github.com/stellar-repro/stellar/internal/des"
-	"github.com/stellar-repro/stellar/internal/dist"
 	"github.com/stellar-repro/stellar/internal/faults"
 	"github.com/stellar-repro/stellar/internal/providers"
-	"github.com/stellar-repro/stellar/internal/runner"
 	"github.com/stellar-repro/stellar/internal/stats"
 )
 
@@ -202,12 +199,9 @@ func RunFaults(opts FaultsOptions) (*FaultsResult, error) {
 		}
 	}
 
-	units := len(cells) * opts.Shards
-	shards, err := runner.Map(runner.Pool{Workers: opts.Workers, Seed: opts.Seed}, units,
-		func(sh runner.Shard) (*faultsShard, error) {
-			cell := cells[sh.Index/opts.Shards]
-			shardIdx := sh.Index % opts.Shards
-			return runFaultsShard(opts, cell.rate, cell.policy, shardIdx)
+	grid, err := runGrid(opts.Workers, opts.Seed, len(cells), opts.Shards,
+		func(cell, shard int, shardSeed int64) (*faultsShard, error) {
+			return runFaultsShard(opts, cells[cell].rate, cells[cell].policy, shard, shardSeed)
 		})
 	if err != nil {
 		return nil, err
@@ -222,7 +216,7 @@ func RunFaults(opts FaultsOptions) (*FaultsResult, error) {
 	for ci, cell := range cells {
 		merged := FaultCell{Rate: cell.rate, Policy: PolicyLabel(cell.policy)}
 		lat := stats.NewSample(int(opts.Invocations))
-		for _, sh := range shards[ci*opts.Shards : (ci+1)*opts.Shards] {
+		for _, sh := range grid[ci] {
 			merged.Outcome.Merge(sh.out)
 			lat.AddAll(sh.lat.Values())
 			merged.Drops += sh.metrics.Drops
@@ -244,11 +238,10 @@ func RunFaults(opts FaultsOptions) (*FaultsResult, error) {
 }
 
 // runFaultsShard drives one isolated simulation of one grid cell. The
-// shard seed ignores the cell index on purpose: every cell replays the
-// same arrival and service randomness, isolating the injected failure mode
-// as the only difference — which is what makes monotone-degradation
+// shard seed ignores the cell (runGrid), isolating the injected failure
+// mode as the only difference — which is what makes monotone-degradation
 // comparisons across rates meaningful at a fixed seed.
-func runFaultsShard(opts FaultsOptions, rate float64, pol faults.Policy, shardIdx int) (*faultsShard, error) {
+func runFaultsShard(opts FaultsOptions, rate float64, pol faults.Policy, shardIdx int, seed int64) (*faultsShard, error) {
 	cfg, err := providers.Get(opts.Provider)
 	if err != nil {
 		return nil, err
@@ -266,7 +259,7 @@ func runFaultsShard(opts FaultsOptions, rate float64, pol faults.Policy, shardId
 		return out, nil
 	}
 
-	e, err := newEnvWithConfig(cfg, dist.ShardSeed(opts.Seed, shardIdx))
+	e, err := newEnvWithConfig(cfg, seed)
 	if err != nil {
 		return nil, fmt.Errorf("faults shard %d: %w", shardIdx, err)
 	}
@@ -340,13 +333,6 @@ func WriteFaultsReport(w io.Writer, res *FaultsResult) {
 			cell.Outcome.Retries, cell.Drops, cell.SuccessRate*100, cell.GoodputRPS,
 			cell.Latency.Median.Round(time.Millisecond), cell.Latency.P99.Round(time.Millisecond))
 	}
-}
-
-// WriteFaultsJSON writes the sweep as indented JSON.
-func WriteFaultsJSON(w io.Writer, res *FaultsResult) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(res)
 }
 
 // WriteFaultsCSV writes one row per grid cell.

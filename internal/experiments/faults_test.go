@@ -120,7 +120,7 @@ func TestFaultsWriters(t *testing.T) {
 	}
 
 	var js strings.Builder
-	if err := WriteFaultsJSON(&js, res); err != nil {
+	if err := WriteJSON(&js, res); err != nil {
 		t.Fatal(err)
 	}
 	var decoded FaultsResult

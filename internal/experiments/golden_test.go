@@ -91,7 +91,7 @@ var replayGoldens = []struct {
 		}
 		var b strings.Builder
 		WriteCostReport(&b, res)
-		if err := WriteCostJSON(&b, res); err != nil {
+		if err := WriteJSON(&b, res); err != nil {
 			t.Fatal(err)
 		}
 		return b.String()
@@ -106,7 +106,7 @@ var replayGoldens = []struct {
 		}
 		var b strings.Builder
 		WriteTenantsReport(&b, res)
-		if err := WriteTenantsJSON(&b, res); err != nil {
+		if err := WriteJSON(&b, res); err != nil {
 			t.Fatal(err)
 		}
 		return b.String()

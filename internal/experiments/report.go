@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -10,6 +11,14 @@ import (
 	"github.com/stellar-repro/stellar/internal/azuretrace"
 	"github.com/stellar-repro/stellar/internal/plot"
 )
+
+// WriteJSON writes v as indented JSON: the one encoder behind the sweeps'
+// -json exports and the commands' -bench-json metrics.
+func WriteJSON(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
+}
 
 // WriteFigureReport renders a figure as text: per-series paper-vs-measured
 // medians/tails plus an ASCII CDF chart.

@@ -111,6 +111,7 @@ func TestScaleOptionValidation(t *testing.T) {
 		{Provider: "aws"},  // no invocations
 		{Provider: "aws", Invocations: 2, Shards: 4},    // more shards than work
 		{Provider: "no-such-cloud", Invocations: 1_000}, // unknown profile
+		{Provider: "aws", Invocations: 100, Alpha: 5},   // sketch alpha out of range
 	} {
 		if _, err := RunScale(opts); err == nil {
 			t.Fatalf("RunScale(%+v) accepted invalid options", opts)

@@ -2,9 +2,12 @@ package experiments
 
 import (
 	"bytes"
+	"math"
 	"runtime"
 	"testing"
 	"time"
+
+	"github.com/stellar-repro/stellar/internal/dist"
 )
 
 func smallTenantsOpts() TenantsOptions {
@@ -34,13 +37,21 @@ func TestTenantsRejectsEmptyPopulation(t *testing.T) {
 	if _, err := RunTenants(opts); err == nil {
 		t.Fatal("zero keep-alive accepted")
 	}
+	// An out-of-range sketch accuracy is an error, not a shard panic.
+	for _, alpha := range []float64{5, -0.5, 1e-6, math.NaN()} {
+		opts = smallTenantsOpts()
+		opts.Alpha = alpha
+		if _, err := RunTenants(opts); err == nil {
+			t.Fatalf("alpha %v accepted", alpha)
+		}
+	}
 }
 
 // TestTenantsSingleTenantMatchesDirectShard: the full sweep driver with one
 // tenant and one shard reduces exactly to one direct shard replay — the
 // merge layer adds nothing.
 func TestTenantsSingleTenantMatchesDirectShard(t *testing.T) {
-	opts := smallTenantsOpts().normalized()
+	opts := smallTenantsOpts()
 	opts.Tenants = 1
 	opts.Shards = 1
 	opts.KeepAlives = []time.Duration{5 * time.Minute}
@@ -51,25 +62,71 @@ func TestTenantsSingleTenantMatchesDirectShard(t *testing.T) {
 	if len(res.Points) != 1 {
 		t.Fatalf("points = %d, want 1", len(res.Points))
 	}
-	pop := synthesizeTenants(opts)
-	direct, err := runTenantsShard(opts, pop, 5*time.Minute, 0)
+	p := opts.population()
+	direct, err := p.runShard(p.synthesize(), CostPolicy{KeepAlive: 5 * time.Minute}, 0, dist.ShardSeed(p.Seed, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := res.Points[0]
-	if p.Invocations != direct.inv || p.ColdServed != direct.cold ||
-		p.WarmServed != direct.warm || p.Errors != direct.errs {
-		t.Fatalf("sweep %+v != direct shard inv=%d cold=%d warm=%d errs=%d",
-			p, direct.inv, direct.cold, direct.warm, direct.errs)
+	pt, d := res.Points[0], direct.point
+	if pt.Invocations != d.Invocations || pt.ColdServed != d.ColdServed ||
+		pt.WarmServed != d.WarmServed || pt.Errors != d.Errors || pt.Expirations != d.Expirations {
+		t.Fatalf("sweep %+v != direct shard %+v", pt, d)
 	}
-	if p.InstanceSeconds != direct.instSec {
-		t.Fatalf("instance-seconds %v != %v", p.InstanceSeconds, direct.instSec)
+	if pt.InstanceSeconds != d.InstanceSeconds {
+		t.Fatalf("instance-seconds %v != %v", pt.InstanceSeconds, d.InstanceSeconds)
 	}
-	if p.VirtualTime != direct.virtual {
-		t.Fatalf("virtual time %v != %v", p.VirtualTime, direct.virtual)
+	if pt.VirtualTime != d.VirtualTime {
+		t.Fatalf("virtual time %v != %v", pt.VirtualTime, d.VirtualTime)
 	}
-	if direct.sk.Count() > 0 && p.Latency.P99 != direct.sk.Summarize().P99 {
-		t.Fatalf("latency p99 %v != %v", p.Latency.P99, direct.sk.Summarize().P99)
+	if d.sketch.Count() == 0 || pt.Latency != d.sketch.Summarize() {
+		t.Fatalf("latency %+v != direct %+v", pt.Latency, d.sketch.Summarize())
+	}
+}
+
+// TestTenantsMatchesCostKeepAlive: the tenants sweep is the keep-alive
+// projection of the cost replay, so at every keep-alive k, exact or on the
+// timer wheel, each TenantsPolicyPoint field equals the matching field of
+// cost's keepalive-<k> point.
+func TestTenantsMatchesCostKeepAlive(t *testing.T) {
+	for _, slack := range []time.Duration{0, 500 * time.Millisecond} {
+		topts := smallTenantsOpts()
+		topts.SlackTick = slack
+		tres, err := RunTenants(topts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		copts := CostOptions{
+			Provider:  topts.Provider,
+			Tenants:   topts.Tenants,
+			Duration:  topts.Duration,
+			Shards:    topts.Shards,
+			Seed:      topts.Seed,
+			SlackTick: slack,
+		}
+		for _, ka := range topts.KeepAlives {
+			copts.Policies = append(copts.Policies, CostPolicy{Name: "keepalive-" + ka.String(), KeepAlive: ka})
+		}
+		cres, err := RunCost(copts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tres.Points) != len(topts.KeepAlives) || len(cres.Points) != len(topts.KeepAlives) {
+			t.Fatalf("slack %v: %d tenants points, %d cost points", slack, len(tres.Points), len(cres.Points))
+		}
+		for i, tp := range tres.Points {
+			cp := cres.Points[i]
+			if tp.Invocations == 0 {
+				t.Fatalf("slack %v, keepalive %v: no invocations", slack, tp.KeepAlive)
+			}
+			if tp.Invocations != cp.Invocations || tp.ColdServed != cp.ColdServed ||
+				tp.WarmServed != cp.WarmServed || tp.Errors != cp.Errors ||
+				tp.Expirations != cp.Expirations || tp.ColdRate != cp.ColdRate ||
+				tp.InstanceSeconds != cp.InstanceSeconds || tp.Latency != cp.Latency ||
+				tp.VirtualTime != cp.VirtualTime {
+				t.Errorf("slack %v, keepalive %v: tenants point %+v != cost point %+v",
+					slack, tp.KeepAlive, tp, cp)
+			}
+		}
 	}
 }
 
@@ -85,7 +142,7 @@ func TestTenantsWorkerCountInvariance(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if err := WriteTenantsJSON(&buf, res); err != nil {
+		if err := WriteJSON(&buf, res); err != nil {
 			t.Fatal(err)
 		}
 		WriteTenantsReport(&buf, res)
@@ -124,18 +181,19 @@ func TestTenantsSlackTickKeepsFrontierShape(t *testing.T) {
 // TestTenantsParetoMarking: the frontier marking is exactly the
 // non-dominated set.
 func TestTenantsParetoMarking(t *testing.T) {
-	points := []TenantsPolicyPoint{
-		{ColdRate: 0.10, InstanceSeconds: 100}, // pareto
-		{ColdRate: 0.05, InstanceSeconds: 200}, // pareto
-		{ColdRate: 0.05, InstanceSeconds: 300}, // dominated by [1]
-		{ColdRate: 0.20, InstanceSeconds: 100}, // dominated by [0]
-		{ColdRate: 0.02, InstanceSeconds: 400}, // pareto
+	points := [][2]float64{
+		{0.10, 100}, // pareto
+		{0.05, 200}, // pareto
+		{0.05, 300}, // dominated by [1]
+		{0.20, 100}, // dominated by [0]
+		{0.02, 400}, // pareto
+		{0.02, 400}, // pareto: a tie dominates neither copy
 	}
-	markPareto(points)
-	want := []bool{true, true, false, false, true}
-	for i, p := range points {
-		if p.Pareto != want[i] {
-			t.Errorf("point %d pareto = %v, want %v", i, p.Pareto, want[i])
+	front := markPareto(len(points), func(i int) (float64, float64) { return points[i][0], points[i][1] })
+	want := []bool{true, true, false, false, true, true}
+	for i := range points {
+		if front[i] != want[i] {
+			t.Errorf("point %d pareto = %v, want %v", i, front[i], want[i])
 		}
 	}
 }

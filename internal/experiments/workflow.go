@@ -93,6 +93,9 @@ func (o WorkflowOptions) validate() error {
 	if o.Sample < 0 || o.Sample > 1 {
 		return fmt.Errorf("workflow: sample rate %v out of [0,1]", o.Sample)
 	}
+	if err := sketch.ValidateAlpha(o.Alpha); err != nil {
+		return fmt.Errorf("workflow: %w", err)
+	}
 	_, err := o.dag()
 	return err
 }

@@ -251,6 +251,16 @@ func TestWorkflowWorkerInvariance(t *testing.T) {
 	}
 }
 
+// TestWorkflowRejectsBadAlpha: an out-of-range edge-sketch accuracy is a
+// validation error, not a panic inside a shard goroutine.
+func TestWorkflowRejectsBadAlpha(t *testing.T) {
+	opts := workflowGoldenOpts("chain-2", workflow.TransferInline, cloud.EngineAuto, 1)
+	opts.Alpha = 5
+	if _, err := RunWorkflow(opts); err == nil {
+		t.Fatal("alpha 5 accepted")
+	}
+}
+
 // workflowGoldenPresets are the four topology presets pinned by committed
 // fingerprints (blobstore edges so the fixtures cover payload-store tails).
 var workflowGoldenPresets = []string{"chain-4", "fanout-8", "diamond", "mapreduce"}

@@ -81,16 +81,26 @@ type Sketch struct {
 	min, max time.Duration
 }
 
+// ValidateAlpha reports whether New accepts alpha: 0 (DefaultAlpha) or a
+// value in [0.0005, 0.1]. Callers taking alpha from outside the program
+// check it here, so a bad value is an error rather than New's panic.
+func ValidateAlpha(alpha float64) error {
+	if alpha != 0 && !(alpha >= minAlpha && alpha <= maxAlpha) {
+		return fmt.Errorf("sketch: alpha %v outside [%v, %v]", alpha, minAlpha, maxAlpha)
+	}
+	return nil
+}
+
 // New returns an empty sketch with the given relative-accuracy target
 // (0 means DefaultAlpha). It panics on alpha outside [0.0005, 0.1],
 // matching the dist constructors' fail-fast convention for static
-// misconfiguration.
+// misconfiguration; ValidateAlpha checks a value before it gets here.
 func New(alpha float64) *Sketch {
+	if err := ValidateAlpha(alpha); err != nil {
+		panic(err.Error())
+	}
 	if alpha == 0 {
 		alpha = DefaultAlpha
-	}
-	if alpha < minAlpha || alpha > maxAlpha {
-		panic(fmt.Sprintf("sketch: alpha %v outside [%v, %v]", alpha, minAlpha, maxAlpha))
 	}
 	gamma := (1 + alpha) / (1 - alpha)
 	invLnGamma := 1 / math.Log(gamma)

@@ -41,7 +41,10 @@ func TestEmptySketch(t *testing.T) {
 }
 
 func TestNewPanicsOnBadAlpha(t *testing.T) {
-	for _, alpha := range []float64{-0.01, 0.2} {
+	for _, alpha := range []float64{-0.01, 0.2, 5, math.NaN()} {
+		if ValidateAlpha(alpha) == nil {
+			t.Errorf("ValidateAlpha(%v) accepted", alpha)
+		}
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -50,6 +53,11 @@ func TestNewPanicsOnBadAlpha(t *testing.T) {
 			}()
 			New(alpha)
 		}()
+	}
+	for _, alpha := range []float64{0, minAlpha, DefaultAlpha, 0.02, maxAlpha} {
+		if err := ValidateAlpha(alpha); err != nil {
+			t.Errorf("ValidateAlpha(%v) = %v", alpha, err)
+		}
 	}
 }
 
